@@ -7,8 +7,8 @@
 //! sketch-program attack, and fold the log into a digest the client (and
 //! CI) can compare across scheduler configurations. All request
 //! validation happens here, *before* any model work, and every failure
-//! is a recoverable error string — never a panic that could take a
-//! worker down.
+//! is a recoverable error string — never a panic on the connection
+//! thread that runs the job.
 
 use crate::protocol::{ImageSpec, JobOutcome, JobRequest};
 use crate::scheduler::SchedulerHandle;
@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Budgets above this are rejected at admission: one tenant must not be
-/// able to park a worker on a near-infinite attack.
+/// able to hold a connection thread on a near-infinite attack.
 pub const MAX_JOB_BUDGET: u64 = 10_000_000;
 
 /// FNV-1a 64 digest over a query log: seq, candidate, prediction and

@@ -9,8 +9,8 @@
 //! held to look up or insert the per-shard cell, never during training).
 //!
 //! The per-session `BaseActivations` LRU lives below this layer, in the
-//! scheduler workers' [`ZooClassifier::owned_session`] handles: the zoo
-//! shares immutable weights, the workers own the mutable caches.
+//! scheduler's pooled [`ZooClassifier::owned_session`] handles: the zoo
+//! shares immutable weights, the pooled sessions own the mutable caches.
 
 use oppsla_core::image::Image;
 use oppsla_eval::zoo::{attack_test_set, train_or_load, Scale, ZooClassifier, ZooConfig};
@@ -24,7 +24,7 @@ pub type ShardKey = (Arch, Scale);
 
 /// One resident model: shared compiled weights plus its attack test set.
 pub struct ModelShard {
-    /// The compiled classifier; scheduler workers derive owned sessions.
+    /// The compiled classifier; the scheduler derives pooled sessions.
     pub classifier: Arc<ZooClassifier>,
     /// Deterministic labelled attack images, indexed by job requests.
     pub test_set: Arc<Vec<(Image, usize)>>,

@@ -861,24 +861,64 @@ fn vecmat_scalar(x: &[f32], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
 }
 
 /// Scalar tail for the SIMD kernels: columns `[j0, n)` that do not fill a
-/// vector register, each accumulated in the same ascending-`k` order.
+/// vector register. `k`-outer like [`vecmat_scalar`], so the tail lanes
+/// are independent accumulators (no serial dependency chain through one
+/// register) and each still sees the same ascending-`k` order.
 fn vecmat_scalar_tail(x: &[f32], wt: &[f32], k: usize, n: usize, j0: usize, out: &mut [f32]) {
-    for (jj, o) in out.iter_mut().enumerate().skip(j0) {
-        let mut acc = 0.0f32;
-        for (kk, &a) in x.iter().enumerate().take(k) {
-            acc += a * wt[kk * n + jj];
-        }
-        *o = acc;
+    if j0 >= n {
+        return;
     }
+    let tail = &mut out[j0..n];
+    tail.fill(0.0);
+    for kk in 0..k {
+        let a = x[kk];
+        for (o, &b) in tail.iter_mut().zip(&wt[kk * n + j0..(kk + 1) * n]) {
+            *o += a * b;
+        }
+    }
+}
+
+/// AVX-512 remainder for [`vecmat_avx512`]: the last `n - j0 < 16`
+/// columns in one masked register (masked-off lanes load zero and are
+/// never stored), same ascending-`k` mul-then-add per lane.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and the slices must hold `x: [k]`,
+/// `wt: [k, n]`, `out: [n]` (checked by [`linear_nt_into_with`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn vecmat_avx512_masked_tail(
+    x: &[f32],
+    wt: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    out: &mut [f32],
+) {
+    if j0 >= n {
+        return;
+    }
+    // The mask bounds every load and store to columns `[j0, n)`.
+    assert!(n - j0 < 16, "masked tail covers less than one register");
+    let mask: u16 = (1u16 << (n - j0)) - 1;
+    let mut c = _mm512_setzero_ps();
+    for kk in 0..k {
+        let a = _mm512_set1_ps(*x.get_unchecked(kk));
+        let b = _mm512_maskz_loadu_ps(mask, wt.as_ptr().add(kk * n + j0));
+        c = _mm512_add_ps(c, _mm512_mul_ps(a, b));
+    }
+    _mm512_mask_storeu_ps(out.as_mut_ptr().add(j0), mask, c);
 }
 
 /// Generates one `vecmat_*` SIMD kernel: blocks of `4·LANES` columns held
 /// in four accumulator registers with `k` innermost (weights stream once,
-/// accumulators stay in registers), then single-register blocks, then the
-/// scalar tail. Explicit mul-then-add per step keeps every lane
-/// bit-identical to [`vecmat_scalar`].
+/// accumulators stay in registers), then at most one two-register block
+/// and one single-register block, then `$tail` for the columns left over.
+/// Explicit mul-then-add per step keeps every lane bit-identical to
+/// [`vecmat_scalar`].
 macro_rules! vecmat_kernel {
-    ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident) => {
+    ($name:ident, $arch:literal, $feature:literal, $lanes:expr, $set1:ident, $load:ident, $store:ident, $zero:expr, $mul:ident, $add:ident, $tail:ident) => {
         #[cfg(target_arch = $arch)]
         #[target_feature(enable = $feature)]
         unsafe fn $name(x: &[f32], wt: &[f32], k: usize, n: usize, out: &mut [f32]) {
@@ -901,7 +941,20 @@ macro_rules! vecmat_kernel {
                 $store(o.add(3 * L), c3);
                 j += 4 * L;
             }
-            while j + L <= n {
+            if j + 2 * L <= n {
+                let (mut c0, mut c1) = ($zero, $zero);
+                for kk in 0..k {
+                    let a = $set1(*x.get_unchecked(kk));
+                    let p = wt.as_ptr().add(kk * n + j);
+                    c0 = $add(c0, $mul(a, $load(p)));
+                    c1 = $add(c1, $mul(a, $load(p.add(L))));
+                }
+                let o = out.as_mut_ptr().add(j);
+                $store(o, c0);
+                $store(o.add(L), c1);
+                j += 2 * L;
+            }
+            if j + L <= n {
                 let mut c = $zero;
                 for kk in 0..k {
                     let a = $set1(*x.get_unchecked(kk));
@@ -910,7 +963,7 @@ macro_rules! vecmat_kernel {
                 $store(out.as_mut_ptr().add(j), c);
                 j += L;
             }
-            vecmat_scalar_tail(x, wt, k, n, j, out);
+            $tail(x, wt, k, n, j, out);
         }
     };
 }
@@ -920,9 +973,9 @@ use std::arch::aarch64::{vaddq_f32, vdupq_n_f32, vld1q_f32, vmulq_f32, vst1q_f32
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{
     _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-    _mm256_storeu_ps, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
-    _mm512_setzero_ps, _mm512_storeu_ps, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps,
-    _mm_setzero_ps, _mm_storeu_ps,
+    _mm256_storeu_ps, _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+    _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm_add_ps, _mm_loadu_ps,
+    _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
 };
 
 vecmat_kernel!(
@@ -935,7 +988,8 @@ vecmat_kernel!(
     _mm_storeu_ps,
     _mm_setzero_ps(),
     _mm_mul_ps,
-    _mm_add_ps
+    _mm_add_ps,
+    vecmat_scalar_tail
 );
 vecmat_kernel!(
     vecmat_avx2,
@@ -947,7 +1001,8 @@ vecmat_kernel!(
     _mm256_storeu_ps,
     _mm256_setzero_ps(),
     _mm256_mul_ps,
-    _mm256_add_ps
+    _mm256_add_ps,
+    vecmat_scalar_tail
 );
 vecmat_kernel!(
     vecmat_avx512,
@@ -959,7 +1014,8 @@ vecmat_kernel!(
     _mm512_storeu_ps,
     _mm512_setzero_ps(),
     _mm512_mul_ps,
-    _mm512_add_ps
+    _mm512_add_ps,
+    vecmat_avx512_masked_tail
 );
 vecmat_kernel!(
     vecmat_neon,
@@ -971,7 +1027,8 @@ vecmat_kernel!(
     vst1q_f32,
     vdupq_n_f32(0.0),
     vmulq_f32,
-    vaddq_f32
+    vaddq_f32,
+    vecmat_scalar_tail
 );
 
 /// Interior core of a stride-1 direct convolution: for every output

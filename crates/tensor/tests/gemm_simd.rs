@@ -119,6 +119,33 @@ fn simd_levels_match_naive_across_block_boundaries() {
     }
 }
 
+/// Every detected level's Linear kernel equals the scalar kernel
+/// bit-for-bit at every width from 1 to 40 — each combination of the
+/// four-, two- and one-register stages and the lane tail, including the
+/// conv-head width 10 and the mlp width 32 — at odd `k`, one of them
+/// longer than a fully connected head.
+#[test]
+fn linear_kernel_widths_match_scalar() {
+    for n in 1..=40 {
+        for k in [1, 7, 33, 1793] {
+            let x = lcg_data(k, (n * 17 + k) as u32);
+            let wt = lcg_data(k * n, (n + k * 5) as u32);
+            let mut scalar = vec![f32::NAN; n];
+            linear_nt_into_with(SimdLevel::Scalar, &x, &wt, k, n, &mut scalar);
+            for level in available_levels() {
+                let mut out = vec![f32::NAN; n];
+                linear_nt_into_with(level, &x, &wt, k, n, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&scalar),
+                    "Linear kernel diverged from scalar at level={} k={k} n={n}",
+                    level.as_str()
+                );
+            }
+        }
+    }
+}
+
 /// Threaded GEMM is byte-identical to single-threaded for every worker
 /// count, on a product large enough to actually fan out (several NC
 /// column blocks, above the parallel threshold) — including a ragged
