@@ -84,7 +84,7 @@ impl Attack for RandomPairs {
         // Candidates are one-pixel swaps of the base image: route them
         // through the pixel-delta query path so incremental backends reuse
         // cached base activations. The shuffle enumerates each candidate
-        // exactly once, so the whole run shares one query-guard scope.
+        // exactly once, so the whole run shares one duplicate-guard scope.
         oracle.begin_candidate_scope();
         let mut scores: Vec<f32> = Vec::with_capacity(clean.len());
         // The visiting order is fixed once shuffled, so upcoming chunks can

@@ -138,7 +138,7 @@ impl Attack for SparseRs {
         // serve it from cached base activations instead of a full forward
         // pass. Counts and scores are identical to querying the perturbed
         // image in full. Random search legitimately re-proposes the same
-        // candidate, so each proposal opens its own query-guard scope.
+        // candidate, so each proposal opens its own duplicate-guard scope.
         let mut scores: Vec<f32> = Vec::with_capacity(clean.len());
 
         // Speculative batching: the RNG decisions for an iteration depend

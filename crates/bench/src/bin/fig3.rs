@@ -15,8 +15,7 @@
 //!     [--fresh]                      (ignore cached program suites)
 //!     [--threads N]                  (worker threads; 0 = auto, default 0)
 //!     [--memo]                       (share a per-classifier query memo across
-//!                                     the attack roster; build with
-//!                                     --features query-memo)
+//!                                     the attack roster)
 //!     [--prior PATH]                 (mined saliency prior JSON reordering the
 //!                                     OPPSLA initial queue; see oppsla_eval::prior)
 //!     [--telemetry PATH]             (append per-phase telemetry events as JSONL)
@@ -27,16 +26,14 @@
 //! Results are bit-identical for any `--threads` value; the knob only
 //! changes wall-clock time. `--telemetry` writes only to `PATH` and
 //! stderr, never stdout — table and chart output stays byte-identical
-//! with or without it (build with `--features telemetry` for non-zero
-//! counters). Without `--memo` the memo machinery is never touched, so
-//! stdout is byte-identical whether or not `query-memo` was compiled in.
+//! with or without it. Without `--memo` the memo machinery is never
+//! touched.
 //!
 //! Defaults are scaled down to finish in minutes on a laptop; the paper's
 //! full setting is `--test-per-class 100 --budget 10000 --synth-train 50
 //! --synth-iters 210`.
 
 use oppsla_attacks::{Attack, DeepSearch, SparseRs, SparseRsConfig, SuOpa, SuOpaConfig};
-use oppsla_bench::cli::Args;
 use oppsla_bench::{
     cifar_archs, finish_trace, imagenet_archs, print_telemetry_summary, reports_dir, start_trace,
     suites_dir, telemetry_sink, threads_from,
@@ -45,6 +42,7 @@ use oppsla_core::dsl::GrammarConfig;
 use oppsla_core::oracle::{Classifier, MemoBank, DEFAULT_MEMO_CAPACITY};
 use oppsla_core::synth::SynthConfig;
 use oppsla_core::telemetry::{trace, FieldValue};
+use oppsla_eval::cli::Args;
 use oppsla_eval::curves::{
     evaluate_attack_parallel_with_memo, evaluate_attack_parallel_with_sink, AttackEval,
 };
@@ -77,16 +75,13 @@ fn main() {
         beta: 0.01,
         seed: args.get_u64("seed", 0),
         per_image_budget: Some(args.get_u64("synth-budget", 1500)),
-        prefilter: !args.has("no-prefilter"),
+        prefilter: !args.flag("no-prefilter"),
         grammar: GrammarConfig::paper(),
         threads,
     };
     let synth_train_per_class = args.get_usize("synth-train", 3);
     let seed = args.get_u64("seed", 0);
-    let use_memo = args.has("memo");
-    if use_memo && cfg!(not(feature = "query-memo")) {
-        eprintln!("warning: built without --features query-memo; --memo is inert");
-    }
+    let use_memo = args.flag("memo");
     let prior = args.get_opt_str("prior").map(|path| {
         let prior = oppsla_eval::prior::load_prior(std::path::Path::new(path))
             .unwrap_or_else(|e| panic!("--prior: {e}"));
@@ -129,7 +124,7 @@ fn main() {
             );
 
             let train = attack_test_set(scale, synth_train_per_class, seed.wrapping_add(10));
-            let cache = (!args.has("fresh")).then(|| {
+            let cache = (!args.flag("fresh")).then(|| {
                 suites_dir().join(format!(
                     "{}-{}-i{}-t{}-s{}.json",
                     arch.id(),

@@ -14,7 +14,7 @@
 //!     [--out PATH]  (default BENCH_kernel.json)
 //! ```
 
-use oppsla_bench::cli::Args;
+use oppsla_eval::cli::Args;
 use oppsla_tensor::gemm::{available_levels, matmul_packed_into_with, pack_a, simd_isa, SimdLevel};
 use oppsla_tensor::ops::matmul_into;
 use std::hint::black_box;

@@ -13,8 +13,7 @@
 //!     [--fresh]
 //!     [--threads N]          (worker threads; 0 = auto, default 0)
 //!     [--memo]               (share one query memo per *target* classifier
-//!                             across all source suites; build with
-//!                             --features query-memo)
+//!                             across all source suites)
 //!     [--telemetry PATH]     (append per-phase telemetry events as JSONL)
 //!     [--trace PATH]         (record per-query trace records as JSONL;
 //!                             build with --features trace)
@@ -22,10 +21,8 @@
 //!
 //! Results are bit-identical for any `--threads` value and with or
 //! without `--telemetry` (which writes only to `PATH` and stderr).
-//! Without `--memo` the memo machinery is never touched, so stdout is
-//! byte-identical whether or not `query-memo` was compiled in.
+//! Without `--memo` the memo machinery is never touched.
 
-use oppsla_bench::cli::Args;
 use oppsla_bench::{
     cifar_archs, finish_trace, print_telemetry_summary, reports_dir, start_trace, suites_dir,
     telemetry_sink, threads_from,
@@ -34,6 +31,7 @@ use oppsla_core::dsl::GrammarConfig;
 use oppsla_core::oracle::{BatchClassifier, Classifier, MemoBank, DEFAULT_MEMO_CAPACITY};
 use oppsla_core::synth::SynthConfig;
 use oppsla_core::telemetry::{trace, FieldValue};
+use oppsla_eval::cli::Args;
 use oppsla_eval::obs::with_phase;
 use oppsla_eval::suite::{synthesize_suite_cached_parallel, ProgramSuite};
 use oppsla_eval::transfer::{
@@ -54,16 +52,13 @@ fn main() {
         beta: 0.01,
         seed: args.get_u64("seed", 0),
         per_image_budget: Some(args.get_u64("synth-budget", 1500)),
-        prefilter: !args.has("no-prefilter"),
+        prefilter: !args.flag("no-prefilter"),
         grammar: GrammarConfig::paper(),
         threads,
     };
     let synth_train_per_class = args.get_usize("synth-train", 3);
     let seed = args.get_u64("seed", 0);
-    let use_memo = args.has("memo");
-    if use_memo && cfg!(not(feature = "query-memo")) {
-        eprintln!("warning: built without --features query-memo; --memo is inert");
-    }
+    let use_memo = args.flag("memo");
     let mut sink = telemetry_sink(&args);
     let tracing = start_trace(&args);
 
@@ -80,7 +75,7 @@ fn main() {
             model.test_accuracy
         );
         let train = attack_test_set(scale, synth_train_per_class, seed.wrapping_add(10));
-        let cache = (!args.has("fresh")).then(|| {
+        let cache = (!args.flag("fresh")).then(|| {
             suites_dir().join(format!(
                 "{}-{}-i{}-t{}-s{}.json",
                 arch.id(),

@@ -1,12 +1,11 @@
-//! Shared plumbing for the OPPSLA experiment binaries: a tiny `--key
-//! value` argument parser and the architecture rosters of the paper's two
-//! evaluation scales.
+//! Shared plumbing for the OPPSLA experiment binaries: the `--telemetry`,
+//! `--trace`, `--threads` and `--tune` knobs and the architecture rosters
+//! of the paper's two evaluation scales.
 
 #![warn(missing_docs)]
 
-pub mod cli;
-
 use oppsla_core::telemetry::{JsonlSink, MetricsSink, NoopSink};
+use oppsla_eval::cli;
 use oppsla_nn::models::Arch;
 use std::path::{Path, PathBuf};
 
@@ -31,23 +30,20 @@ pub fn suites_dir() -> PathBuf {
     PathBuf::from("target/oppsla-programs")
 }
 
-/// Resolves the shared `--telemetry PATH` knob: a JSONL sink writing one
-/// event per instrumented phase to `PATH`, or a [`NoopSink`] when the flag
-/// is absent. Telemetry never writes to stdout, so experiment results stay
-/// byte-identical with or without the flag (and with or without the
-/// `telemetry` feature — without it, events carry all-zero counters).
+/// Resolves the shared `--telemetry PATH` knob: arms the recorder and
+/// returns a JSONL sink writing one event per instrumented phase to
+/// `PATH`, or a [`NoopSink`] (recorder left disarmed) when the flag is
+/// absent. Telemetry never writes to stdout, so experiment results stay
+/// byte-identical with or without the flag.
 pub fn telemetry_sink(args: &cli::Args) -> Box<dyn MetricsSink> {
     let Some(path) = args.get_opt_str("telemetry") else {
         return Box::new(NoopSink);
     };
-    if !oppsla_core::telemetry::enabled() {
-        eprintln!(
-            "warning: --telemetry given but this binary was built without the `telemetry` \
-             feature; events will carry zero counters (rebuild with --features telemetry)"
-        );
-    }
     match JsonlSink::create(Path::new(path)) {
-        Ok(sink) => Box::new(sink),
+        Ok(sink) => {
+            oppsla_core::telemetry::arm();
+            Box::new(sink)
+        }
         Err(e) => {
             eprintln!("warning: could not create telemetry file {path}: {e}; telemetry disabled");
             Box::new(NoopSink)

@@ -53,5 +53,5 @@ pub mod tracing;
 
 /// Query-path telemetry (re-export of [`oppsla_obs`]): phase counters,
 /// per-image query histograms, and metric sinks. Recording is inert
-/// unless the `telemetry` cargo feature is enabled.
+/// until the recorder is armed (`telemetry::arm`).
 pub use oppsla_obs as telemetry;

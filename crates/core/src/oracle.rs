@@ -7,7 +7,10 @@
 
 use crate::image::Image;
 use crate::pair::{Location, Pixel};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::BuildHasherDefault;
+use std::sync::Mutex;
 
 /// A black-box image classifier: maps an image to one score per class.
 ///
@@ -297,16 +300,13 @@ pub fn image_content_id(image: &Image) -> u64 {
 /// for a full-image query, or the one-pixel perturbation as exact bit
 /// patterns (the same shape [`QueryLogEntry::pixel`] uses). Full-tuple
 /// equality, not just a hash, so distinct candidates can never collide.
-#[cfg(feature = "query-memo")]
 type MemoKey = (u64, Option<(u16, u16, [u32; 3])>);
 
 /// FNV-1a 64 as a `HashMap` hasher for [`MemoKey`]s: deterministic
 /// across processes (no per-process seed), cheap on short keys.
-#[cfg(feature = "query-memo")]
 #[derive(Default)]
 struct FnvHasher(u64);
 
-#[cfg(feature = "query-memo")]
 impl std::hash::Hasher for FnvHasher {
     fn finish(&self) -> u64 {
         self.0
@@ -330,23 +330,13 @@ impl std::hash::Hasher for FnvHasher {
 /// entry this bounds a memo at a few tens of MB.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 18;
 
-#[cfg(feature = "query-memo")]
-mod memo_impl {
-    use super::{FnvHasher, MemoKey};
-    use std::collections::{HashMap, VecDeque};
-    use std::hash::BuildHasherDefault;
-    use std::sync::Mutex;
-
-    pub(super) struct MemoInner {
-        pub(super) map: HashMap<MemoKey, Vec<f32>, BuildHasherDefault<FnvHasher>>,
-        /// Keys in insertion order; eviction pops the oldest first, so
-        /// the cache contents are a deterministic function of the insert
-        /// stream — never of timing.
-        pub(super) order: VecDeque<MemoKey>,
-        pub(super) cap: usize,
-    }
-
-    pub(super) type Shared = Mutex<MemoInner>;
+struct MemoInner {
+    map: HashMap<MemoKey, Vec<f32>, BuildHasherDefault<FnvHasher>>,
+    /// Keys in insertion order; eviction pops the oldest first, so the
+    /// cache contents are a deterministic function of the insert stream
+    /// — never of timing.
+    order: VecDeque<MemoKey>,
+    cap: usize,
 }
 
 /// A cross-restart memoization cache for oracle queries, shared by
@@ -360,14 +350,8 @@ mod memo_impl {
 /// many queries are counted, never a score. Hits are **not** counted as
 /// oracle queries (see [`Oracle::memo_hits`]): the whole point is that
 /// no candidate is ever paid for twice.
-///
-/// Without the `query-memo` feature this is an inert zero-sized stub:
-/// [`Oracle::with_memo`] becomes a no-op and every query takes the
-/// unmemoized path, keeping counts bit-identical to builds without the
-/// feature.
 pub struct QueryMemo {
-    #[cfg(feature = "query-memo")]
-    inner: memo_impl::Shared,
+    inner: Mutex<MemoInner>,
 }
 
 impl QueryMemo {
@@ -384,28 +368,18 @@ impl QueryMemo {
     /// Panics if `cap` is zero.
     pub fn with_capacity(cap: usize) -> Self {
         assert!(cap > 0, "memo capacity must be at least 1");
-        #[cfg(not(feature = "query-memo"))]
-        let _ = cap;
         QueryMemo {
-            #[cfg(feature = "query-memo")]
-            inner: std::sync::Mutex::new(memo_impl::MemoInner {
-                map: std::collections::HashMap::default(),
-                order: std::collections::VecDeque::new(),
+            inner: Mutex::new(MemoInner {
+                map: HashMap::default(),
+                order: VecDeque::new(),
                 cap,
             }),
         }
     }
 
-    /// The number of memoized entries (always 0 without `query-memo`).
+    /// The number of memoized entries.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "query-memo")]
-        {
-            self.inner.lock().expect("memo poisoned").map.len()
-        }
-        #[cfg(not(feature = "query-memo"))]
-        {
-            0
-        }
+        self.inner.lock().expect("memo poisoned").map.len()
     }
 
     /// True when nothing is memoized.
@@ -415,7 +389,6 @@ impl QueryMemo {
 
     /// Writes the memoized scores for `key` into `out` (cleared first)
     /// and returns true; leaves `out` untouched on a miss.
-    #[cfg(feature = "query-memo")]
     fn lookup_into(&self, key: &MemoKey, out: &mut Vec<f32>) -> bool {
         let inner = self.inner.lock().expect("memo poisoned");
         match inner.map.get(key) {
@@ -431,7 +404,6 @@ impl QueryMemo {
     /// Memoizes `scores` for `key`. First write wins: scores are a pure
     /// function of the key, so a duplicate insert carries an identical
     /// value and is dropped without touching the eviction order.
-    #[cfg(feature = "query-memo")]
     fn insert(&self, key: MemoKey, scores: &[f32]) {
         let mut inner = self.inner.lock().expect("memo poisoned");
         if inner.map.contains_key(&key) {
@@ -574,14 +546,13 @@ pub struct Oracle<'a> {
     log: Option<Vec<QueryLogEntry>>,
     /// Cross-restart memo serving repeat candidates without counting a
     /// query (see [`Oracle::with_memo`]). `None` = every query pays.
-    #[cfg(feature = "query-memo")]
     memo: Option<&'a QueryMemo>,
     /// Queries served from the memo (never counted in `queries`).
     memo_hits: u64,
     /// Candidates scored since the last [`Oracle::begin_candidate_scope`],
-    /// used by the `query-guard` feature to catch accidental double
-    /// queries that would silently inflate reported query counts.
-    #[cfg(feature = "query-guard")]
+    /// checked in debug builds to catch accidental double queries that
+    /// would silently inflate reported query counts.
+    #[cfg(debug_assertions)]
     scope: std::collections::HashSet<(u16, u16, [u32; 3])>,
 }
 
@@ -595,10 +566,9 @@ impl<'a> Oracle<'a> {
             batch: None,
             speculate: true,
             log: None,
-            #[cfg(feature = "query-memo")]
             memo: None,
             memo_hits: 0,
-            #[cfg(feature = "query-guard")]
+            #[cfg(debug_assertions)]
             scope: std::collections::HashSet::new(),
         }
     }
@@ -612,10 +582,9 @@ impl<'a> Oracle<'a> {
             batch: None,
             speculate: true,
             log: None,
-            #[cfg(feature = "query-memo")]
             memo: None,
             memo_hits: 0,
-            #[cfg(feature = "query-guard")]
+            #[cfg(debug_assertions)]
             scope: std::collections::HashSet::new(),
         }
     }
@@ -631,14 +600,8 @@ impl<'a> Oracle<'a> {
     /// and the `memo_hit` telemetry counter, keeping the accounting
     /// honest — [`Oracle::queries`] remains the number of times the
     /// classifier was actually consulted at a counted site.
-    ///
-    /// Without the `query-memo` feature this is a no-op.
-    #[allow(unused_mut, unused_variables)]
     pub fn with_memo(mut self, memo: &'a QueryMemo) -> Self {
-        #[cfg(feature = "query-memo")]
-        {
-            self.memo = Some(memo);
-        }
+        self.memo = Some(memo);
         self
     }
 
@@ -689,13 +652,12 @@ impl<'a> Oracle<'a> {
     }
 
     /// Opens a fresh duplicate-detection scope for pixel-delta candidates
-    /// (one sketch run over one base image). A no-op unless the
-    /// `query-guard` feature is enabled, in which case scoring the same
-    /// (location, pixel) candidate twice within a scope panics in debug
-    /// builds — the sketch's removal discipline guarantees each candidate
-    /// is queried at most once.
+    /// (one sketch run over one base image). In debug builds, scoring the
+    /// same (location, pixel) candidate twice within a scope panics — the
+    /// sketch's removal discipline guarantees each candidate is queried at
+    /// most once. A no-op in release builds.
     pub fn begin_candidate_scope(&mut self) {
-        #[cfg(feature = "query-guard")]
+        #[cfg(debug_assertions)]
         self.scope.clear();
     }
 
@@ -725,7 +687,6 @@ impl<'a> Oracle<'a> {
         // Memo lookup comes before the budget check: a hit is not a
         // query — it consumes no budget and succeeds even when the
         // budget is spent.
-        #[cfg(feature = "query-memo")]
         let memo_key = match self.memo {
             Some(memo) => {
                 let key = (image_content_id(image), None);
@@ -748,7 +709,6 @@ impl<'a> Oracle<'a> {
         crate::telemetry::trace::tag_route(crate::telemetry::trace::RouteTag::Full);
         self.classifier.scores_into(image, out);
         self.log_query(self.queries, None, out);
-        #[cfg(feature = "query-memo")]
         if let (Some(memo), Some(key)) = (self.memo, memo_key) {
             memo.insert(key, out);
         }
@@ -789,9 +749,8 @@ impl<'a> Oracle<'a> {
     ///
     /// # Panics
     ///
-    /// With the `query-guard` feature enabled, panics in debug builds if
-    /// the same (location, pixel) candidate is scored twice within one
-    /// [`Oracle::begin_candidate_scope`] scope.
+    /// In debug builds, panics if the same (location, pixel) candidate is
+    /// scored twice within one [`Oracle::begin_candidate_scope`] scope.
     pub fn query_pixel_delta_into(
         &mut self,
         base: &Image,
@@ -803,7 +762,6 @@ impl<'a> Oracle<'a> {
         // guard: a hit is not a query (no budget, no count, no
         // classifier), and re-requesting an already-paid-for candidate
         // is exactly what the memo exists to make free.
-        #[cfg(feature = "query-memo")]
         let memo_key = match self.memo {
             Some(memo) => {
                 let key = (
@@ -824,10 +782,10 @@ impl<'a> Oracle<'a> {
                 return Err(BudgetExhausted { budget });
             }
         }
-        #[cfg(feature = "query-guard")]
-        debug_assert!(
+        #[cfg(debug_assertions)]
+        assert!(
             self.scope
-                .insert((location.row, location.col, pixel.0.map(f32::to_bits),)),
+                .insert((location.row, location.col, pixel.0.map(f32::to_bits))),
             "candidate (({}, {}), {:?}) scored twice in one sketch scope",
             location.row,
             location.col,
@@ -865,7 +823,6 @@ impl<'a> Oracle<'a> {
                     self.log_query(self.queries, Some((location, pixel)), out);
                     // Batch-served scores were computed (and just
                     // counted), so they are memoized like sequential ones.
-                    #[cfg(feature = "query-memo")]
                     if let (Some(memo), Some(key)) = (self.memo, memo_key) {
                         memo.insert(key, out);
                     }
@@ -881,7 +838,6 @@ impl<'a> Oracle<'a> {
         self.classifier
             .scores_pixel_delta_into(base, location, pixel, out);
         self.log_query(self.queries, Some((location, pixel)), out);
-        #[cfg(feature = "query-memo")]
         if let (Some(memo), Some(key)) = (self.memo, memo_key) {
             memo.insert(key, out);
         }
@@ -983,8 +939,8 @@ impl<'a> Oracle<'a> {
     ///
     /// # Panics
     ///
-    /// With the `query-guard` feature enabled, panics in debug builds on
-    /// a duplicate candidate within one scope, like the sequential path.
+    /// In debug builds, panics on a duplicate candidate within one scope,
+    /// like the sequential path.
     pub fn query_batch(
         &mut self,
         base: &Image,
@@ -996,7 +952,6 @@ impl<'a> Oracle<'a> {
         // bit-identical either way). Memo hits consume no budget, so the
         // upfront clamp below would be wrong here: the loop itself stops
         // exactly where the budget actually runs out.
-        #[cfg(feature = "query-memo")]
         if self.memo.is_some() {
             out.clear();
             let mut buf = Vec::new();
@@ -1023,8 +978,8 @@ impl<'a> Oracle<'a> {
         }
         let n = (candidates.len() as u64).min(remaining) as usize;
         for _item in &candidates[..n] {
-            #[cfg(feature = "query-guard")]
-            debug_assert!(
+            #[cfg(debug_assertions)]
+            assert!(
                 self.scope
                     .insert((_item.0.row, _item.0.col, _item.1 .0.map(f32::to_bits))),
                 "candidate (({}, {}), {:?}) scored twice in one sketch scope",
@@ -1059,7 +1014,7 @@ impl<'a> Oracle<'a> {
     }
 
     /// The number of queries served from the attached memo (0 without
-    /// one, and always 0 without the `query-memo` feature). Counted
+    /// one). Counted
     /// separately from [`Oracle::queries`] on purpose: a hit is not an
     /// oracle query.
     pub fn memo_hits(&self) -> u64 {
@@ -1233,7 +1188,7 @@ mod tests {
         assert_eq!(oracle.queries(), 0);
     }
 
-    #[cfg(all(feature = "query-guard", debug_assertions))]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scored twice")]
     fn guard_catches_duplicate_candidates_in_one_scope() {
@@ -1247,7 +1202,6 @@ mod tests {
         oracle.query_pixel_delta(&base, loc, px).unwrap();
     }
 
-    #[cfg(feature = "query-guard")]
     #[test]
     fn guard_scope_reset_permits_requerying() {
         // The same candidate across two sketch runs (scopes) is fine.
@@ -1491,7 +1445,7 @@ mod tests {
         assert_eq!(err, BudgetExhausted { budget: 3 });
     }
 
-    #[cfg(all(feature = "query-guard", debug_assertions))]
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "scored twice")]
     fn guard_catches_duplicates_served_from_a_prefetched_batch() {
@@ -1581,7 +1535,6 @@ mod tests {
         assert!(oracle.take_query_log().is_empty());
     }
 
-    #[cfg(feature = "query-memo")]
     mod memo {
         use super::*;
 

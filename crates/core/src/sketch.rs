@@ -566,7 +566,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "query-memo")]
     #[test]
     fn a_restart_with_a_shared_memo_repays_nothing() {
         use crate::oracle::QueryMemo;

@@ -238,8 +238,7 @@ pub fn evaluate_program(
 /// evaluation through the same bank are served from the cache without
 /// counting a query. Success/failure per image is identical to the
 /// memo-less call; `avg_queries` and `queries_spent` measure only the
-/// *marginal* (previously unpaid) queries. Without the `query-memo`
-/// feature the bank is inert and this *is* [`evaluate_program`].
+/// *marginal* (previously unpaid) queries.
 ///
 /// # Panics
 ///
@@ -492,8 +491,7 @@ pub fn synthesize_parallel(
 /// deliberately different (and much cheaper) search mode than
 /// [`synthesize`], whose trajectory it does not reproduce. Memo keys
 /// carry full image content hashes, so the prefilter reindexing the
-/// training set cannot cause false hits. Without the `query-memo`
-/// feature the bank is inert and this *is* [`synthesize`].
+/// training set cannot cause false hits.
 ///
 /// # Panics
 ///
@@ -728,7 +726,6 @@ mod tests {
         let second = evaluate_program_with_memo(&program, &clf, &train, None, &bank);
         assert_eq!(second.successes, first.successes);
         assert!(second.queries_spent <= first.queries_spent);
-        #[cfg(feature = "query-memo")]
         assert_eq!(
             second.queries_spent, 0,
             "a full replay through a warm memo must be free"
@@ -748,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_with_memo_runs_and_matches_plain_synthesis_when_inert() {
+    fn synthesize_with_memo_runs_and_is_thread_count_invariant() {
         let clf = center_weak_classifier();
         let train = train_set(2);
         let config = SynthConfig {
@@ -762,10 +759,6 @@ mod tests {
         // The synthesized program still attacks the training set.
         let check = evaluate_program(&memoed.program, &clf, &train, None);
         assert!(check.avg_queries.is_finite());
-        if cfg!(not(feature = "query-memo")) {
-            // Inert bank → literally the plain entry point.
-            assert_eq!(memoed, synthesize(&clf, &train, &config));
-        }
         // And the parallel form agrees with the sequential one for any
         // thread count (fresh banks: the one above is warm).
         for threads in [1, 3] {

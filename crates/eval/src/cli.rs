@@ -1,6 +1,5 @@
-//! A minimal `--key value` / `--flag` argument parser for the server
-//! binaries (same conventions as the experiment binaries; no external
-//! CLI dependency).
+//! A minimal `--key value` / `--flag` argument parser shared by the
+//! experiment and server binaries (no external CLI dependency).
 
 use std::collections::HashMap;
 
@@ -13,8 +12,8 @@ pub struct Args {
 
 impl Args {
     /// Parses `std::env::args()`. `--key value` populates values; a
-    /// trailing `--key` with no value (or followed by another `--…`) is
-    /// a boolean flag.
+    /// trailing `--key` with no value (or followed by another `--…`) is a
+    /// boolean flag.
     ///
     /// # Panics
     ///
@@ -85,7 +84,7 @@ impl Args {
             .unwrap_or_else(|| default.to_owned())
     }
 
-    /// True when `--key` was given as a bare flag.
+    /// True when `--key` appeared as a bare flag.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
@@ -95,13 +94,25 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
-        Args::from_args(list.iter().map(|s| (*s).to_owned()))
+    fn parse(s: &str) -> Args {
+        Args::from_args(s.split_whitespace().map(str::to_owned))
+    }
+
+    #[test]
+    fn parses_values_and_flags() {
+        let a = parse("--budget 500 --full --scale cifar");
+        assert_eq!(a.get_u64("budget", 0), 500);
+        assert!(a.flag("full"));
+        assert_eq!(a.get_str("scale", "x"), "cifar");
+        assert_eq!(a.get_opt_str("scale"), Some("cifar"));
+        assert_eq!(a.get_usize("missing", 7), 7);
+        assert_eq!(a.get_opt_str("missing"), None);
+        assert!(!a.flag("missing"));
     }
 
     #[test]
     fn values_flags_and_defaults() {
-        let a = args(&["--tenants", "8", "--out", "x.json", "--quiet"]);
+        let a = parse("--tenants 8 --out x.json --quiet");
         assert_eq!(a.get_usize("tenants", 1), 8);
         assert_eq!(a.get_str("out", "def"), "x.json");
         assert_eq!(a.get_u64("budget", 400), 400);
@@ -111,8 +122,20 @@ mod tests {
     }
 
     #[test]
+    fn trailing_flag_without_value() {
+        let a = parse("--retrain");
+        assert!(a.flag("retrain"));
+    }
+
+    #[test]
     #[should_panic(expected = "positional")]
-    fn positional_arguments_are_rejected() {
-        let _ = args(&["oops"]);
+    fn rejects_positional_arguments() {
+        parse("oops");
+    }
+
+    #[test]
+    #[should_panic(expected = "expects an integer")]
+    fn rejects_bad_integers() {
+        parse("--budget lots").get_u64("budget", 0);
     }
 }

@@ -1,6 +1,8 @@
 //! Evaluation harness reproducing every table and figure of the OPPSLA
 //! paper.
 //!
+//! * [`cli`] — the `--key value` argument parser of the experiment and
+//!   server binaries.
 //! * [`zoo`] — trains/caches the classifier zoo (the paper's pre-trained
 //!   CNNs, rebuilt at laptop scale) and generates attack test sets.
 //! * [`curves`] — per-image attack evaluation and success-rate-vs-budget
@@ -15,7 +17,7 @@
 //! * [`report`] — ASCII tables and CSV export.
 //! * [`convert`] — tensor ↔ attack-image conversions.
 //! * [`obs`] — telemetry plumbing: phase-scoped metric emission and
-//!   summary tables (active when built with the `telemetry` feature).
+//!   summary tables (active once `--telemetry` arms the recorder).
 //!
 //! The experiment binaries in `oppsla-bench` are thin CLI wrappers around
 //! these modules.
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod cli;
 pub mod convert;
 pub mod curves;
 pub mod obs;

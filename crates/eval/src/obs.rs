@@ -2,11 +2,10 @@
 //! that attribute recorded counters to a named phase of a run and emit
 //! them to a [`MetricsSink`], plus a human-readable summary table.
 //!
-//! Everything here works in both builds. With the `telemetry` feature off
+//! Everything here works whether or not the recorder is armed. Disarmed,
 //! the snapshots are all-zero and [`with_phase`] still emits one event
-//! (carrying `telemetry_enabled: false`), so harness code needs no
-//! feature gates and the emitted event stream has the same shape either
-//! way — only the counter fields disappear.
+//! (carrying `telemetry_enabled: false`), so the emitted event stream has
+//! the same shape either way — only the counter fields disappear.
 
 use crate::report::Table;
 use oppsla_core::telemetry::{self, emit_snapshot, FieldValue, MetricsSink, Snapshot};

@@ -324,8 +324,8 @@ struct SessionState {
     batch_candidates: Vec<(usize, usize, [f32; 3])>,
     /// Always-on LRU accounting (see [`SessionCacheStats`]): plain u64
     /// bumps, read by the attack server's live metrics plane. Unlike the
-    /// feature-gated telemetry counts these exist in every build, so a
-    /// default-build daemon can still report its cache behavior.
+    /// telemetry counts these need no arming, so a daemon can always
+    /// report its cache behavior.
     cache_stats: SessionCacheStats,
     /// Workspace pool for grouped (multi-base) delta calls, parallel to
     /// `grouped_tags`.
@@ -1014,6 +1014,7 @@ mod tests {
         // the three cold captures must be a cache hit (no rebases), and
         // every score bit-identical.
         let lru = classifier.session_with_cache_capacity(3);
+        telemetry::arm();
         let before = telemetry::snapshot();
         for round in 0..3 {
             for (i, img) in images.iter().enumerate() {
@@ -1024,15 +1025,13 @@ mod tests {
         let after = telemetry::snapshot();
         let delta =
             |c: Counter| after.counters[c as usize].saturating_sub(before.counters[c as usize]);
-        if telemetry::enabled() {
-            assert_eq!(
-                delta(Counter::DeltaCacheCold),
-                3,
-                "one cold capture per base"
-            );
-            assert_eq!(delta(Counter::DeltaCacheRebase), 0, "no rebase thrash");
-            assert_eq!(delta(Counter::DeltaCacheHit), 6, "the other rounds all hit");
-        }
+        assert_eq!(
+            delta(Counter::DeltaCacheCold),
+            3,
+            "one cold capture per base"
+        );
+        assert_eq!(delta(Counter::DeltaCacheRebase), 0, "no rebase thrash");
+        assert_eq!(delta(Counter::DeltaCacheHit), 6, "the other rounds all hit");
     }
 
     #[test]

@@ -9,13 +9,13 @@
 //!
 //! # Design
 //!
-//! * **Feature-gated.** Everything records through free functions
-//!   ([`count`], [`observe_image_queries`], [`op_timer`], …) that are inert
-//!   inline no-ops unless the `telemetry` cargo feature is enabled. The
-//!   query hot path therefore pays nothing — not even an `Instant::now()`
-//!   — in a default build, which the counting-allocator and A/B-diff
-//!   harnesses verify.
-//! * **Lock-free thread-local recorder.** With `telemetry` on, increments
+//! * **Runtime-armed.** Everything records through free functions
+//!   ([`count`], [`observe_image_queries`], [`op_timer`], …) that stay
+//!   disarmed until [`arm`] is called — by a binary given `--telemetry
+//!   PATH`, or by [`trace::start`], whose end-of-run op records read the
+//!   op timings. A disarmed hook costs one relaxed atomic load and reads
+//!   no clock (`forward_bench` reports the figure and CI gates it).
+//! * **Lock-free thread-local recorder.** Once armed, increments
 //!   go to plain thread-local cells (no atomics, no locks on the hot
 //!   path). Each thread's cells are merged into global atomic totals when
 //!   the thread exits — before a scoped-thread join returns — or on an
@@ -24,9 +24,8 @@
 //!   only the (stderr/JSONL-only) wall-clock timings are nondeterministic.
 //! * **Sinks.** A [`Snapshot`] can be rendered as a human summary or
 //!   emitted as one JSONL event through a [`MetricsSink`] (the experiment
-//!   binaries' `--telemetry out.jsonl`). [`Snapshot`] and the sinks exist
-//!   in both builds, so binaries need no `cfg` at call sites: with the
-//!   feature off they simply observe zeros and `telemetry_enabled: false`.
+//!   binaries' `--telemetry out.jsonl`). Left disarmed, snapshots are
+//!   all-zero and events carry `telemetry_enabled: false`.
 
 #![warn(missing_docs)]
 
@@ -34,6 +33,7 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 pub mod metrics;
 pub mod trace;
@@ -207,12 +207,21 @@ pub fn query_hist_bounds(bucket: usize) -> (u64, u64) {
     }
 }
 
-/// Whether this build records telemetry (`telemetry` cargo feature).
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
+/// Set once by [`arm`]; the hot-path hooks read it with one relaxed load.
+static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Arms the recorder for the rest of the process. Until then every
+/// recording call is a single relaxed load and records nothing.
+pub fn arm() {
+    ARMED.store(true, Relaxed);
 }
 
-#[cfg(feature = "telemetry")]
+/// Whether the recorder is armed (see [`arm`]).
+#[inline(always)]
+pub fn enabled() -> bool {
+    ARMED.load(Relaxed)
+}
+
 mod recorder {
     use super::{Counter, OpKind, Snapshot, QUERY_HIST_BUCKETS};
     use std::cell::Cell;
@@ -278,7 +287,10 @@ mod recorder {
         };
     }
 
-    #[inline]
+    // The recording bodies stay out of line: a disarmed hook inlines to
+    // one load and a branch around a call.
+    #[cold]
+    #[inline(never)]
     pub(super) fn count_n(c: Counter, n: u64) {
         TLS.with(|t| {
             let cell = &t.counters[c as usize];
@@ -286,8 +298,10 @@ mod recorder {
         });
     }
 
-    #[inline]
-    pub(super) fn record_op(kind: OpKind, ns: u64) {
+    #[cold]
+    #[inline(never)]
+    pub(super) fn record_op(kind: OpKind, start: std::time::Instant) {
+        let ns = start.elapsed().as_nanos() as u64;
         TLS.with(|t| {
             let sum = &t.op_ns[kind as usize];
             sum.set(sum.get() + ns);
@@ -296,7 +310,8 @@ mod recorder {
         });
     }
 
-    #[inline]
+    #[cold]
+    #[inline(never)]
     pub(super) fn observe_hist(bucket: usize) {
         TLS.with(|t| {
             let cell = &t.hist[bucket];
@@ -364,51 +379,44 @@ pub fn count(c: Counter) {
 /// Increments `c` by `n`.
 #[inline(always)]
 pub fn count_n(c: Counter, n: u64) {
-    #[cfg(feature = "telemetry")]
-    recorder::count_n(c, n);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (c, n);
+    if enabled() {
+        recorder::count_n(c, n);
+    }
 }
 
 /// Records one finished attack run's per-image query count into the
 /// distribution histogram.
 #[inline(always)]
 pub fn observe_image_queries(queries: u64) {
-    #[cfg(feature = "telemetry")]
-    recorder::observe_hist(query_hist_bucket(queries));
-    #[cfg(not(feature = "telemetry"))]
-    let _ = queries;
+    if enabled() {
+        recorder::observe_hist(query_hist_bucket(queries));
+    }
 }
 
 /// A timing guard for one forward-pass op: records elapsed nanoseconds
-/// (and one call) against its [`OpKind`] when dropped. With telemetry off
-/// it is a zero-sized no-op — no clock is read.
+/// (and one call) against its [`OpKind`] when dropped. Started disarmed
+/// it records nothing and no clock is read.
 #[must_use = "the timer records on drop; bind it for the op's duration"]
 pub struct OpTimer {
-    #[cfg(feature = "telemetry")]
     kind: OpKind,
-    #[cfg(feature = "telemetry")]
-    start: std::time::Instant,
+    start: Option<std::time::Instant>,
 }
 
 /// Starts an [`OpTimer`] for `kind`.
 #[inline(always)]
 pub fn op_timer(kind: OpKind) -> OpTimer {
-    #[cfg(not(feature = "telemetry"))]
-    let _ = kind;
     OpTimer {
-        #[cfg(feature = "telemetry")]
         kind,
-        #[cfg(feature = "telemetry")]
-        start: std::time::Instant::now(),
+        start: enabled().then(std::time::Instant::now),
     }
 }
 
 impl Drop for OpTimer {
     #[inline(always)]
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        recorder::record_op(self.kind, self.start.elapsed().as_nanos() as u64);
+        if let Some(start) = self.start {
+            recorder::record_op(self.kind, start);
+        }
     }
 }
 
@@ -416,24 +424,19 @@ impl Drop for OpTimer {
 /// Worker threads flush automatically on exit; call this on long-lived
 /// threads before reading a [`snapshot`] elsewhere.
 pub fn flush() {
-    #[cfg(feature = "telemetry")]
     recorder::flush();
 }
 
 /// Flushes the calling thread and returns the current global totals.
-/// All-zero when telemetry is off.
+/// All-zero until the recorder is armed.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "telemetry")]
-    return recorder::snapshot();
-    #[cfg(not(feature = "telemetry"))]
-    Snapshot::zero()
+    recorder::snapshot()
 }
 
 /// Zeroes the calling thread's buffers and the global totals. Meant for
 /// single-threaded harnesses; concurrent recorders on other threads are
 /// not reset. Prefer [`Snapshot::since`] deltas where possible.
 pub fn reset() {
-    #[cfg(feature = "telemetry")]
     recorder::reset();
 }
 
@@ -522,7 +525,7 @@ impl Snapshot {
         self.query_hist.iter().sum()
     }
 
-    /// True when nothing was recorded (e.g. telemetry is off).
+    /// True when nothing was recorded (e.g. the recorder is disarmed).
     pub fn is_zero(&self) -> bool {
         *self == Snapshot::zero()
     }
@@ -1076,24 +1079,11 @@ mod tests {
         assert!(snap.summary().contains("[4, 8)  1"));
     }
 
-    #[cfg(not(feature = "telemetry"))]
     #[test]
-    fn disabled_build_records_nothing() {
-        count(Counter::QueryBaseline);
-        count_n(Counter::QueryRefine, 10);
-        observe_image_queries(7);
-        let _t = op_timer(OpKind::Conv);
-        drop(_t);
-        flush();
-        assert!(snapshot().is_zero());
-        assert!(!enabled());
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn enabled_build_counts_and_flushes() {
+    fn armed_recorder_counts_and_flushes() {
         // Other tests in this process may record concurrently; assert on
         // deltas of counters this test owns exclusively.
+        arm();
         let before = snapshot();
         count(Counter::WeightCacheCorrupt);
         count_n(Counter::WeightCacheCorrupt, 4);
@@ -1108,7 +1098,6 @@ mod tests {
         assert!(enabled());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn worker_threads_merge_on_join() {
         // Native join waits for full thread termination, TLS destructors
@@ -1116,6 +1105,7 @@ mod tests {
         // completion signal fires when the closure returns, possibly
         // before destructors — which is why `parallel_map_with` workers
         // flush explicitly instead of relying on the Drop merge.)
+        arm();
         let before = snapshot();
         let workers: Vec<_> = (0..4)
             .map(|_| {

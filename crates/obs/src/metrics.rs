@@ -1,7 +1,7 @@
 //! A lock-light live metrics registry for long-running processes.
 //!
-//! Unlike the feature-gated offline telemetry in the crate root (flushed
-//! to JSONL after a run), these instruments are *always compiled* and
+//! Unlike the offline telemetry in the crate root (armed by `--telemetry`
+//! and flushed to JSONL after a run), these instruments are always on and
 //! meant to be read while the process serves traffic: the attack server
 //! threads them through its scheduler, admission gate, and sessions, and
 //! exposes the registry through a `Stats` protocol frame and a

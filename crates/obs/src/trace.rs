@@ -1040,6 +1040,8 @@ pub fn start(config: TraceConfig) -> io::Result<()> {
         rec::SECTION.store(u32::MAX, Relaxed);
         rec::ROUND.store(0, Relaxed);
         rec::MAIN_SEQ.store(0, Relaxed);
+        // The closing `Ops` records read the telemetry op timings.
+        crate::arm();
         rec::ARMED.store(true, Relaxed);
     }
     #[cfg(not(feature = "trace"))]

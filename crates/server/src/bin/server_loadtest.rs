@@ -38,7 +38,7 @@
 use oppsla_attacks::{Attack, SketchProgramAttack};
 use oppsla_core::dsl::Program;
 use oppsla_core::oracle::{BatchClassifier, Oracle};
-use oppsla_server::cli::Args;
+use oppsla_eval::cli::Args;
 use oppsla_server::protocol::{
     read_frame, write_frame, ImageSpec, JobOutcome, JobRequest, Request, Response,
 };
@@ -505,16 +505,6 @@ fn main() {
 
     server.request_shutdown();
     drop(server);
-    #[cfg(feature = "telemetry")]
-    {
-        let snap = oppsla_core::telemetry::snapshot();
-        eprintln!("server_loadtest telemetry: {}", snap.summary());
-        eprintln!(
-            "server_loadtest scheduler: {} grouped calls, {} submissions merged",
-            snap.get(oppsla_core::telemetry::Counter::SchedGroupedCalls),
-            snap.get(oppsla_core::telemetry::Counter::SchedGroupedSubmissions),
-        );
-    }
     if !determinism_ok {
         eprintln!("server_loadtest: determinism check FAILED");
         std::process::exit(1);

@@ -18,7 +18,6 @@
 //!   query-log digest that witnesses determinism.
 //! * [`server`] — the TCP daemon: accept loop, per-connection framing,
 //!   bounded admission control.
-//! * [`cli`] — the tiny `--key value` parser the binaries share.
 //!
 //! The `oppsla_serverd` binary runs the daemon; `server_loadtest` boots
 //! one in-process, replays synthetic multi-tenant traffic against it,
@@ -26,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cli;
 pub mod metrics;
 pub mod metrics_http;
 pub mod protocol;

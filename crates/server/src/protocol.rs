@@ -187,7 +187,7 @@ pub struct JobOutcome {
     pub log_len: u64,
     /// Queries served from the server's per-shard memo (never counted in
     /// `queries` or logged). Always 0 unless the deployment opted into
-    /// `--memo` and was built with the `query-memo` feature.
+    /// `--memo`.
     pub memo_hits: u64,
     /// FNV-1a 64 digest over the job's query log (seq, pixel, pred and
     /// per-query score hashes), as 16 hex digits. Two jobs interacted

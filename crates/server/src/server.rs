@@ -55,7 +55,7 @@ pub struct ServerConfig {
     /// [`crate::session::ShardMemos`]). Off by default: with a shared
     /// memo a job's query count and `log_fnv` digest depend on other
     /// tenants' history, so determinism-witness deployments must leave
-    /// this disabled. Inert without the `query-memo` feature.
+    /// this disabled.
     pub memo: bool,
     /// Run the live metrics plane (see [`crate::metrics`]). On by
     /// default; the plane is passive (write-only from the job path), so
@@ -172,6 +172,39 @@ impl Admission {
         drop(st);
         self.cv.notify_one();
     }
+
+    /// Admits one job and runs `job` in its slot, passing whether it had
+    /// to wait. The outer `Err` is a rejection at the door. The slot is
+    /// released however `job` ends, and a panic inside it comes back as
+    /// `Ok(Err(message))`, so one poisoned job can neither leak a slot
+    /// nor take its connection down.
+    fn run<T>(
+        &self,
+        job: impl FnOnce(bool) -> Result<T, String>,
+    ) -> Result<Result<T, String>, String> {
+        struct Slot<'a>(&'a Admission);
+        impl Drop for Slot<'_> {
+            fn drop(&mut self) {
+                self.0.release();
+            }
+        }
+        let waited = self.admit()?;
+        let _slot = Slot(self);
+        Ok(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(waited)))
+                .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&*panic)))),
+        )
+    }
+}
+
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted string), or a placeholder for any other payload type.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 struct Shared {
@@ -328,37 +361,47 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // Responses are small request-reply frames; waiting for
                 // ACKs to batch them only adds delayed-ACK latency.
                 stream.set_nodelay(true).ok();
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                if let Some(m) = &shared.metrics {
-                    m.connections.inc();
-                }
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
+                let conn = Connection::open(shared);
+                // On thread exhaustion `spawn` drops the closure, and with
+                // it the guard: the connection is shed, the daemon keeps
+                // serving.
+                let _ = std::thread::Builder::new()
                     .name("server-conn".into())
-                    .spawn(move || {
-                        serve_connection(stream, &conn_shared);
-                        // This thread also ran scheduler batches: merge its
-                        // buffered telemetry while `drain` still waits on it.
-                        oppsla_core::telemetry::flush();
-                        oppsla_core::telemetry::trace::flush();
-                        if let Some(m) = &conn_shared.metrics {
-                            m.connections.dec();
-                        }
-                        conn_shared.connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    // Thread exhaustion: shed the connection, keep serving.
-                    if let Some(m) = &shared.metrics {
-                        m.connections.dec();
-                    }
-                    shared.connections.fetch_sub(1, Ordering::SeqCst);
-                }
+                    .spawn(move || serve_connection(stream, &conn.0));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
+    }
+}
+
+/// One live connection thread, counted from accept until the guard drops
+/// — when the thread ends, even by a panic, or when it never started.
+/// [`Server::drain`] waits for the count to reach zero.
+struct Connection(Arc<Shared>);
+
+impl Connection {
+    fn open(shared: &Arc<Shared>) -> Self {
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        if let Some(m) = &shared.metrics {
+            m.connections.inc();
+        }
+        Connection(Arc::clone(shared))
+    }
+}
+
+impl Drop for Connection {
+    fn drop(&mut self) {
+        // This thread also ran scheduler batches: merge its buffered
+        // telemetry while `drain` still waits on it.
+        oppsla_core::telemetry::flush();
+        oppsla_core::telemetry::trace::flush();
+        if let Some(m) = &self.0.metrics {
+            m.connections.dec();
+        }
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -425,9 +468,23 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
 /// Admission, the job itself, and — purely passively — the metrics
 /// plane's accounting around it: counters, the end-to-end latency
 /// histogram, and the slow-request log. Every metrics touch is
-/// write-only, after the corresponding decision was already made.
+/// write-only, after the corresponding decision was already made. A job
+/// that panics is answered with an error frame like any failed job.
 fn serve_attack(shared: &Shared, tenant: Option<&TenantMetrics>, job: &JobRequest) -> Response {
-    match shared.admission.admit() {
+    let ran = shared.admission.run(|waited| {
+        let started = Instant::now();
+        if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
+            m.jobs_admitted.inc();
+            t.jobs_admitted.inc();
+            if waited {
+                t.jobs_waited.inc();
+            }
+            t.budget_granted.add(job.budget);
+        }
+        crate::session::run_job(&shared.handle, &shared.zoo, job, shared.memos.as_ref())
+            .map(|done| (done, started.elapsed()))
+    });
+    match ran {
         Err(reason) => {
             if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
                 m.jobs_rejected.inc();
@@ -435,55 +492,39 @@ fn serve_attack(shared: &Shared, tenant: Option<&TenantMetrics>, job: &JobReques
             }
             Response::Error(reason)
         }
-        Ok(waited) => {
-            let started = Instant::now();
+        Ok(Ok((done, wall))) => {
             if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
-                m.jobs_admitted.inc();
-                t.jobs_admitted.inc();
-                if waited {
-                    t.jobs_waited.inc();
-                }
-                t.budget_granted.add(job.budget);
+                let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+                m.jobs_done.inc();
+                m.queries_total.add(done.outcome.queries);
+                m.memo_hits_total.add(done.outcome.memo_hits);
+                m.job_latency_us.observe(wall_us);
+                t.jobs_done.inc();
+                t.queries.add(done.outcome.queries);
+                t.memo_hits.add(done.outcome.memo_hits);
+                t.budget_unspent
+                    .add(job.budget.saturating_sub(done.outcome.queries));
+                m.record_slow(SlowJob {
+                    tenant: t.id.clone(),
+                    arch: job.arch.clone(),
+                    scale: job.scale.clone(),
+                    status: done.outcome.status.clone(),
+                    queries: done.outcome.queries,
+                    full_queries: done.full_queries,
+                    delta_queries: done.delta_queries,
+                    memo_hits: done.outcome.memo_hits,
+                    wall_us,
+                    budget: job.budget,
+                });
             }
-            let result =
-                crate::session::run_job(&shared.handle, &shared.zoo, job, shared.memos.as_ref());
-            shared.admission.release();
-            let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-            match result {
-                Ok(done) => {
-                    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
-                        m.jobs_done.inc();
-                        m.queries_total.add(done.outcome.queries);
-                        m.memo_hits_total.add(done.outcome.memo_hits);
-                        m.job_latency_us.observe(wall_us);
-                        t.jobs_done.inc();
-                        t.queries.add(done.outcome.queries);
-                        t.memo_hits.add(done.outcome.memo_hits);
-                        t.budget_unspent
-                            .add(job.budget.saturating_sub(done.outcome.queries));
-                        m.record_slow(SlowJob {
-                            tenant: t.id.clone(),
-                            arch: job.arch.clone(),
-                            scale: job.scale.clone(),
-                            status: done.outcome.status.clone(),
-                            queries: done.outcome.queries,
-                            full_queries: done.full_queries,
-                            delta_queries: done.delta_queries,
-                            memo_hits: done.outcome.memo_hits,
-                            wall_us,
-                            budget: job.budget,
-                        });
-                    }
-                    Response::Done(done.outcome)
-                }
-                Err(e) => {
-                    if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
-                        m.jobs_errored.inc();
-                        t.jobs_errored.inc();
-                    }
-                    Response::Error(e)
-                }
+            Response::Done(done.outcome)
+        }
+        Ok(Err(e)) => {
+            if let (Some(m), Some(t)) = (&shared.metrics, tenant) {
+                m.jobs_errored.inc();
+                t.jobs_errored.inc();
             }
+            Response::Error(e)
         }
     }
 }
@@ -530,6 +571,21 @@ mod tests {
         );
         adm.release();
         assert!(adm.admit().is_ok(), "slots free again after releases");
+    }
+
+    #[test]
+    fn a_panicking_job_errors_and_releases_its_slot() {
+        let registry = oppsla_obs::metrics::Registry::new();
+        let active = registry.gauge("jobs_active", &[]);
+        let waiting = registry.gauge("jobs_waiting", &[]);
+        let adm = Admission::new(1, 0, Some((Arc::clone(&active), waiting)));
+        let ran: Result<Result<(), String>, String> = adm.run(|_| panic!("poisoned classifier"));
+        let err = ran
+            .expect("the job was admitted")
+            .expect_err("a panic is an error");
+        assert!(err.contains("poisoned classifier"), "{err}");
+        assert_eq!(active.get(), 0, "the slot was released");
+        assert!(!adm.admit().unwrap(), "the next job is admitted at once");
     }
 
     #[test]

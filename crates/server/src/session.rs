@@ -66,9 +66,7 @@ pub fn digest_query_log(log: &[QueryLogEntry]) -> u64 {
 /// across shards. This is a deployment opt-in (default off): with a
 /// shared memo a job's counted queries, and therefore its `log_fnv`
 /// digest, depend on which candidates *other* tenants already paid for,
-/// so the digest stops being a pure function of the request. Without
-/// the `query-memo` feature the memos are inert stubs and every job
-/// behaves exactly as if no registry existed.
+/// so the digest stops being a pure function of the request.
 pub struct ShardMemos {
     cap: usize,
     memos: Mutex<HashMap<ShardKey, Arc<QueryMemo>>>,
@@ -364,13 +362,8 @@ mod tests {
             "memo can only reduce queries"
         );
         assert_eq!(warm.log_len, warm.queries, "hits are never logged");
-        #[cfg(feature = "query-memo")]
-        {
-            assert!(warm.memo_hits > 0, "repeat job must hit the warm memo");
-            assert!(warm.queries < plain.queries);
-        }
-        #[cfg(not(feature = "query-memo"))]
-        assert_eq!(warm, plain, "stubbed memo is inert");
+        assert!(warm.memo_hits > 0, "repeat job must hit the warm memo");
+        assert!(warm.queries < plain.queries);
         scheduler.shutdown();
     }
 

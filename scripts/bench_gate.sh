@@ -21,6 +21,10 @@
 # the same build on the same runner, proving the fast kernels actually
 # pay for themselves rather than merely not regressing.
 #
+# Every forward report also carries `telemetry_hook_ns_per_op`, the cost
+# of one disarmed telemetry hook, which every forward op pays in every
+# build: the gate FAILS when it exceeds 5 ns.
+#
 # Independently of mode, any `engine_speedup` row for densenet-small in
 # the NEW report must be >= 1.0: the compiled engine losing to the naive
 # tape on any architecture means a dispatch route picked the wrong
@@ -83,6 +87,15 @@ if grep -q '"trace_enabled": false' "$new"; then
         echo "FAIL     trace feature is off but trace_hook_ns_per_op is nonzero in $new" >&2
         exit 1
     fi
+fi
+
+# Disarmed-telemetry gate: the hook is one relaxed atomic load, so a
+# figure above 5 ns means it started reading a clock or touching
+# thread-local state while disarmed. Checked only when present.
+hook=$(sed -n 's/.*"telemetry_hook_ns_per_op": *\([0-9.eE+-]*\).*/\1/p' "$new" | head -n 1)
+if [ -n "$hook" ] && awk -v ns="$hook" 'BEGIN { exit !(ns > 5) }'; then
+    echo "FAIL     disarmed telemetry hook costs $hook ns per op in $new (limit 5 ns)" >&2
+    exit 1
 fi
 
 awk -v newfile="$new" -v basefile="$base" -v require="$require" -v maxreg="$maxreg" '

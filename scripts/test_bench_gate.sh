@@ -104,6 +104,12 @@ expect "zero disarmed hook passes" 0 "$tmp/zerohook.json" "$tmp/base.json"
 row 2.0 ', "trace_enabled": false, "trace_hook_ns_per_op": 3.5' > "$tmp/hothook.json"
 expect "nonzero disarmed hook fails" 1 "$tmp/hothook.json" "$tmp/base.json"
 
+row 2.0 ', "telemetry_hook_ns_per_op": 0.6' > "$tmp/cheaptel.json"
+expect "disarmed telemetry hook within 5 ns passes" 0 "$tmp/cheaptel.json" "$tmp/base.json"
+
+row 2.0 ', "telemetry_hook_ns_per_op": 65.0' > "$tmp/hottel.json"
+expect "disarmed telemetry hook above 5 ns fails" 1 "$tmp/hottel.json" "$tmp/base.json"
+
 # --- hard floors -----------------------------------------------------
 printf '{"bench": "t", "arch": "densenet-small", "input": "shapes32", "engine_speedup": 0.8}\n' \
     > "$tmp/slowengine.json"

@@ -2,6 +2,11 @@
 //! linked-list implementation must behave exactly like a naive
 //! `VecDeque`-with-linear-scan reference model under arbitrary operation
 //! sequences.
+//!
+//! The queue keeps a per-location side index (`closest_pert` support)
+//! alongside the intrusive list; the full-state check after every
+//! operation compares order, length, membership and that index against
+//! the model, so a desync shows at the operation that caused it.
 
 use oppsla::core::image::Image;
 use oppsla::core::pair::{Corner, Location, Pair, Pixel};
@@ -65,6 +70,33 @@ impl NaiveQueue {
     }
 }
 
+/// Full-state equivalence: list order, length, membership of every pair,
+/// and the per-location index all agree with the model.
+fn check_state(real: &PairQueue, model: &NaiveQueue) -> Result<(), TestCaseError> {
+    let iterated: Vec<Pair> = real.iter().collect();
+    prop_assert_eq!(real.len(), iterated.len(), "len() disagrees with iter()");
+    prop_assert!(
+        iterated.iter().eq(model.pairs.iter()),
+        "queue order desynced from the model"
+    );
+    for row in 0..model.height as u16 {
+        for col in 0..model.width as u16 {
+            let loc = Location::new(row, col);
+            for k in 0..8 {
+                let pair = Pair::new(loc, Corner::new(k));
+                prop_assert_eq!(real.contains(pair), model.contains(pair));
+            }
+            prop_assert_eq!(
+                real.next_at_location(loc),
+                model.next_at_location(loc),
+                "per-location index desynced at {:?}",
+                loc
+            );
+        }
+    }
+    Ok(())
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Pop,
@@ -94,9 +126,9 @@ proptest! {
     #[test]
     fn queue_matches_reference_model(
         ops in proptest::collection::vec(arb_op(4, 4), 0..120),
-        fill in 1u8..9,
+        grey in 0u8..=255,
     ) {
-        let v = fill as f32 / 10.0;
+        let v = grey as f32 / 255.0;
         let image = Image::filled(4, 4, Pixel([v, v, v]));
         let mut real = PairQueue::for_image(&image);
         let mut model = NaiveQueue::from_real(&real, 4, 4);
@@ -123,12 +155,18 @@ proptest! {
                     );
                 }
             }
-            prop_assert_eq!(real.len(), model.pairs.len());
+            check_state(&real, &model)?;
         }
-        // Final drains agree element-for-element (total order preserved).
-        let real_rest: Vec<Pair> = real.iter().collect();
+        // Draining by pops yields exactly the model's remaining pairs, in
+        // order, and leaves the queue empty.
+        let mut drained = Vec::new();
+        while let Some(p) = real.pop() {
+            drained.push(p);
+        }
         let model_rest: Vec<Pair> = model.pairs.iter().copied().collect();
-        prop_assert_eq!(real_rest, model_rest);
+        prop_assert_eq!(drained, model_rest);
+        prop_assert!(real.is_empty());
+        prop_assert_eq!(real.len(), 0);
     }
 
     /// The initial ordering satisfies the paper's two sort keys.
